@@ -197,28 +197,32 @@ else
   echo "SKIP  bench_compare (python3 not available)"
 fi
 
-# The runtime micro-benches (ack coalescing, park/wake latency) are Google
-# Benchmark binaries, excluded from the sweep loop above; when the library
-# was available at configure time, they must still start and report.
-micro_runtime_failures=0
-micro_bin="$BUILD_DIR/bench/bench_micro_runtime"
-if [ -x "$micro_bin" ]; then
-  if ! "$micro_bin" --benchmark_min_time=0.01 \
-       > "$OUT_DIR/bench_micro_runtime.txt" 2>&1; then
-    echo "FAIL  bench_micro_runtime: non-zero exit" >&2
-    sed 's/^/      /' "$OUT_DIR/bench_micro_runtime.txt" >&2 || true
-    micro_runtime_failures=1
-  elif ! grep -q "BM_AckFanout" "$OUT_DIR/bench_micro_runtime.txt" || \
-       ! grep -q "BM_IdleWake" "$OUT_DIR/bench_micro_runtime.txt"; then
-    echo "FAIL  bench_micro_runtime: expected BM_AckFanout / BM_IdleWake" \
-         "rows missing" >&2
-    micro_runtime_failures=1
+# The Google Benchmark micros are excluded from the sweep loop above; when
+# the library was available at configure time, each must still start and
+# report rows starting with its required names (one binary per line below).
+micro_failures=0
+while read -r micro_name rows; do
+  micro_bin="$BUILD_DIR/bench/$micro_name"
+  micro_out="$OUT_DIR/$micro_name.txt"
+  if [ ! -x "$micro_bin" ]; then
+    echo "SKIP  $micro_name (Google Benchmark not installed)"
+  elif ! "$micro_bin" --benchmark_min_time=0.01 > "$micro_out" 2>&1; then
+    echo "FAIL  $micro_name: non-zero exit" >&2
+    sed 's/^/      /' "$micro_out" >&2 || true
+    micro_failures=$((micro_failures + 1))
+  elif missing="$(for r in $rows; do grep -q "^$r" "$micro_out" || printf ' %s' "$r"; done)"
+       [ -n "$missing" ]; then
+    echo "FAIL  $micro_name: expected rows missing:$missing" >&2
+    micro_failures=$((micro_failures + 1))
   else
-    echo "OK    bench_micro_runtime (ack + idle-wake micros reported)"
+    echo "OK    $micro_name ($rows reported)"
   fi
-else
-  echo "SKIP  bench_micro_runtime (Google Benchmark not installed)"
-fi
+done <<'MICROS'
+bench_micro_runtime BM_AckFanout BM_IdleWake
+bench_micro_route BM_RouteDC/64
+bench_micro_sketch BM_SpaceSavingUpdate
+bench_micro_hash BM_SeededHash64
+MICROS
 
 # Elastic-rescale guard: bench_elastic_rescale's derived "# rescale:" table
 # must be non-empty, and every scale-out row (the out+8 schedule) must report
@@ -385,7 +389,7 @@ fi
 if [ "$compare_failures" -gt 0 ]; then
   echo "perf-trajectory compare guard FAILED ($compare_failures problems)" >&2
 fi
-if [ "$micro_runtime_failures" -gt 0 ]; then
-  echo "runtime micro-bench guard FAILED ($micro_runtime_failures problems)" >&2
+if [ "$micro_failures" -gt 0 ]; then
+  echo "micro-bench guard FAILED ($micro_failures problems)" >&2
 fi
-exit "$(((failures + headroom_failures + threaded_failures + rescale_failures + threaded_rescale_failures + cost_failures + compare_failures + micro_runtime_failures) > 0 ? 1 : 0))"
+exit "$(((failures + headroom_failures + threaded_failures + rescale_failures + threaded_rescale_failures + cost_failures + compare_failures + micro_failures) > 0 ? 1 : 0))"

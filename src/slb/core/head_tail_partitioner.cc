@@ -78,25 +78,61 @@ Status HeadTailPartitioner::Rescale(uint32_t new_num_workers) {
   family_ = HashFamily(new_num_workers, new_num_workers, options_.hash_seed);
   loads_.resize(new_num_workers, 0);
   signal_.Rescale(new_num_workers, messages_);
+  ClearHeadCandidates();  // cached lists index the old family
   // Force Reoptimize() on the next Route(): derived head policy (D-Choices'
   // d, the theta threshold's 1/n factor) must see the new n before routing.
   next_reoptimize_ = messages_;
   return Status::OK();
 }
 
-uint32_t HeadTailPartitioner::LeastLoadedOfChoices(uint64_t key, uint32_t d) const {
+const uint32_t* HeadTailPartitioner::HeadCandidates(uint64_t key, uint32_t d) {
+  if (d != head_d_) {
+    ClearHeadCandidates();
+    head_d_ = d;
+  }
+  const int32_t offset = head_offsets_.Get(key);
+  if (offset != FlatIndexMap::kAbsent) return &head_candidates_[offset];
+  const size_t fresh = head_candidates_.size();
+  head_candidates_.resize(fresh + d);
+  family_.Candidates(key, d, &head_candidates_[fresh]);
+  head_offsets_.Set(key, static_cast<int32_t>(fresh));
+  return &head_candidates_[fresh];
+}
+
+void HeadTailPartitioner::ClearHeadCandidates() {
+  if (head_offsets_.empty()) return;
+  head_offsets_.Clear();
+  head_candidates_.clear();
+}
+
+uint32_t HeadTailPartitioner::LeastLoadedOfChoices(uint64_t key, uint32_t d) {
   // The family holds one function per worker, so the two-choices tail step
   // must degrade to one choice when n == 1 (d > n never helps anyway: the
   // candidate set cannot contain more than n distinct workers).
   d = std::min(d, family_.max_functions());
+  if (d == 2 && !signal_.active()) {
+    // The tail-key fast path (the overwhelming majority of routed messages):
+    // pair-hash both candidates and select branchlessly — on skewed streams
+    // the load comparison is unpredictable, so a cmov beats a branch.
+    uint32_t w0, w1;
+    family_.Worker2(key, &w0, &w1);
+    return loads_[w1] < loads_[w0] ? w1 : w0;
+  }
+  uint32_t hashed[2] = {0, 0};
+  const uint32_t* candidates = hashed;
+  if (d > 2) {
+    candidates = HeadCandidates(key, d);
+  } else {
+    family_.Candidates(key, d, hashed);
+  }
   if (signal_.active()) {
     // Cost-aware path: same candidate set, min over the cost/in-flight
     // signal instead of the message count.
-    uint32_t best = family_.Worker(key, 0);
+    uint32_t best = candidates[0];
     double best_load = signal_.At(best, messages_);
     double best_tie = signal_.TieBreak(best);
     for (uint32_t i = 1; i < d; ++i) {
-      const uint32_t candidate = family_.Worker(key, i);
+      const uint32_t candidate = candidates[i];
       const double load = signal_.At(candidate, messages_);
       const double tie = signal_.TieBreak(candidate);
       if (load < best_load || (load == best_load && tie < best_tie)) {
@@ -107,22 +143,15 @@ uint32_t HeadTailPartitioner::LeastLoadedOfChoices(uint64_t key, uint32_t d) con
     }
     return best;
   }
-  if (d == 2) {
-    // The tail-key fast path (the overwhelming majority of routed messages):
-    // pair-hash both candidates and select branchlessly — on skewed streams
-    // the load comparison is unpredictable, so a cmov beats a branch.
-    uint32_t w0, w1;
-    family_.Worker2(key, &w0, &w1);
-    return loads_[w1] < loads_[w0] ? w1 : w0;
-  }
-  uint32_t best = family_.Worker(key, 0);
+  // Strict < keeps the first candidate on ties; the selects compile to cmovs.
+  uint32_t best = candidates[0];
   uint64_t best_load = loads_[best];
   for (uint32_t i = 1; i < d; ++i) {
-    const uint32_t candidate = family_.Worker(key, i);
-    if (loads_[candidate] < best_load) {
-      best = candidate;
-      best_load = loads_[candidate];
-    }
+    const uint32_t candidate = candidates[i];
+    const uint64_t load = loads_[candidate];
+    const bool less = load < best_load;
+    best = less ? candidate : best;
+    best_load = less ? load : best_load;
   }
   return best;
 }
@@ -134,7 +163,7 @@ void HeadTailPartitioner::RouteBatch(const uint64_t* keys, size_t count,
   for (size_t i = 0; i < count; ++i) out[i] = HeadTailPartitioner::Route(keys[i]);
 }
 
-uint32_t HeadTailPartitioner::LeastLoadedOverall() const {
+uint32_t HeadTailPartitioner::LeastLoadedOverall() {
   if (signal_.active()) {
     uint32_t best = 0;
     double best_load = signal_.At(0, messages_);
@@ -150,19 +179,22 @@ uint32_t HeadTailPartitioner::LeastLoadedOverall() const {
     }
     return best;
   }
+  // Same branchless select as LeastLoadedOfChoices: first index wins ties.
+  const uint32_t n = static_cast<uint32_t>(loads_.size());
   uint32_t best = 0;
   uint64_t best_load = loads_[0];
-  for (uint32_t w = 1; w < loads_.size(); ++w) {
-    if (loads_[w] < best_load) {
-      best = w;
-      best_load = loads_[w];
-    }
+  for (uint32_t w = 1; w < n; ++w) {
+    const uint64_t load = loads_[w];
+    const bool less = load < best_load;
+    best = less ? w : best;
+    best_load = less ? load : best_load;
   }
   return best;
 }
 
 uint32_t HeadTailPartitioner::Route(uint64_t key) {
   if (messages_ >= next_reoptimize_) {
+    ClearHeadCandidates();
     Reoptimize();
     // Warm-up: re-run the optimizer at doubling intervals (64, 128, ...) so
     // the head policy adapts within the first few thousand messages, then

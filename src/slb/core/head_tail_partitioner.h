@@ -12,6 +12,7 @@
 #include <memory>
 #include <vector>
 
+#include "slb/common/flat_hash.h"
 #include "slb/core/balance_signal.h"
 #include "slb/core/partitioner.h"
 #include "slb/hash/hash_family.h"
@@ -50,11 +51,13 @@ class HeadTailPartitioner : public StreamPartitioner {
   virtual void Reoptimize() {}
 
   /// Least loaded among the first `d` hashed candidates of `key`
-  /// (the Greedy-d step, using this sender's local load vector).
-  uint32_t LeastLoadedOfChoices(uint64_t key, uint32_t d) const;
+  /// (the Greedy-d step, using this sender's local load vector). For d > 2
+  /// the candidates come from the head-candidate cache (see below).
+  uint32_t LeastLoadedOfChoices(uint64_t key, uint32_t d);
 
-  /// Least loaded among all workers (the W-Choices head step).
-  uint32_t LeastLoadedOverall() const;
+  /// Least loaded among all workers (the W-Choices head step): one
+  /// branchless pass over the load vector, first index wins ties.
+  uint32_t LeastLoadedOverall();
 
   const std::vector<uint64_t>& local_loads() const { return loads_; }
   const HashFamily& family() const { return family_; }
@@ -62,6 +65,10 @@ class HeadTailPartitioner : public StreamPartitioner {
  private:
   static std::unique_ptr<FrequencyEstimator> MakeSketch(
       const PartitionerOptions& options);
+
+  // family_.Candidates(key, d), memoized for the head step.
+  const uint32_t* HeadCandidates(uint64_t key, uint32_t d);
+  void ClearHeadCandidates();
 
   PartitionerOptions options_;
   HashFamily family_;
@@ -71,6 +78,15 @@ class HeadTailPartitioner : public StreamPartitioner {
   uint64_t messages_ = 0;
   uint64_t next_reoptimize_ = 0;  // doubling warm-up, then fixed cadence
   bool last_was_head_ = false;
+
+  // Head-candidate cache. A head key routed with d > 2 would otherwise hash
+  // all d candidates on every message; the memo keeps them, key -> offset of
+  // its d candidates in head_candidates_. Valid for one (hash family, d):
+  // cleared on every Reoptimize() and Rescale(), and when d changes, so it
+  // holds at most the keys classed head since the last reoptimize.
+  FlatIndexMap head_offsets_;
+  std::vector<uint32_t> head_candidates_;
+  uint32_t head_d_ = 0;  // d of every list in head_candidates_
 };
 
 /// W-Choices (Sec. III-B): head keys go to the least loaded of *all* n

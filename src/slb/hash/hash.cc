@@ -6,15 +6,6 @@
 
 namespace slb {
 
-uint64_t Murmur3Fmix64(uint64_t key) {
-  key ^= key >> 33;
-  key *= 0xff51afd7ed558ccdULL;
-  key ^= key >> 33;
-  key *= 0xc4ceb9fe1a85ec53ULL;
-  key ^= key >> 33;
-  return key;
-}
-
 namespace {
 
 inline uint64_t Rotl64(uint64_t x, int r) { return (x << r) | (x >> (64 - r)); }

@@ -15,8 +15,16 @@
 namespace slb {
 
 /// MurmurHash3's 64-bit finalizer (fmix64). An excellent mixer for integer
-/// keys: bijective, passes avalanche tests.
-uint64_t Murmur3Fmix64(uint64_t key);
+/// keys: bijective, passes avalanche tests. Inline: SeededHash64 runs it
+/// twice per candidate on the routing hot path.
+inline uint64_t Murmur3Fmix64(uint64_t key) {
+  key ^= key >> 33;
+  key *= 0xff51afd7ed558ccdULL;
+  key ^= key >> 33;
+  key *= 0xc4ceb9fe1a85ec53ULL;
+  key ^= key >> 33;
+  return key;
+}
 
 /// Full MurmurHash3 x64-128 over a byte buffer, returning the low 64 bits.
 uint64_t Murmur3_x64_64(const void* data, size_t len, uint64_t seed);

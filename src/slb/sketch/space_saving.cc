@@ -67,13 +67,24 @@ void SpaceSaving::IncrementCounter(int32_t c) {
   Counter& counter = counters_[c];
   const int32_t old_b = counter.bucket;
   const uint64_t new_count = counter.count + 1;
+  const int32_t next_b = buckets_[old_b].next;
+  const bool next_fits = next_b != kNil && buckets_[next_b].count == new_count;
+
+  if (!next_fits && buckets_[old_b].head == c && counter.next == kNil) {
+    // Alone in its bucket with no count+1 bucket above: the bucket moves up
+    // with its only counter. Same list position, same order (the next
+    // bucket's count exceeds new_count), no alloc/free — the common case
+    // for a hot key, which usually holds a count of its own.
+    buckets_[old_b].count = new_count;
+    counter.count = new_count;
+    return;
+  }
 
   DetachCounter(c);
   counter.count = new_count;
 
-  const int32_t next_b = buckets_[old_b].next;
   int32_t target;
-  if (next_b != kNil && buckets_[next_b].count == new_count) {
+  if (next_fits) {
     target = next_b;
   } else {
     target = AllocBucket(new_count);

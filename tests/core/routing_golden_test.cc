@@ -18,8 +18,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <ostream>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "slb/common/rng.h"
@@ -115,16 +117,19 @@ uint64_t RouteDigest(const GoldenConfig& config) {
   return digest;
 }
 
-std::string ConfigName(const testing::TestParamInfo<GoldenConfig>& info) {
-  std::string name = AlgorithmKindName(info.param.kind);
+std::string ConfigName(const GoldenConfig& config) {
+  std::string name = AlgorithmKindName(config.kind);
   for (char& c : name) {
     if (c == '-') c = '_';
   }
-  name += "_n" + std::to_string(info.param.n);
-  name += info.param.z < 1.7 ? "_z14" : "_z20";
-  name += info.param.signal == BalanceSignal::kCount ? "_count" : "_cost";
+  name += "_n" + std::to_string(config.n);
+  name += config.z < 1.7 ? "_z14" : "_z20";
+  name += config.signal == BalanceSignal::kCount ? "_count" : "_cost";
   return name;
 }
+
+// Readable (and padding-free) parameter text in test listings.
+void PrintTo(const GoldenConfig& config, std::ostream* os) { *os << ConfigName(config); }
 
 class RoutingGoldenTest : public testing::TestWithParam<GoldenConfig> {};
 
@@ -223,8 +228,9 @@ const GoldenConfig kGolden[] = {
 };
 // clang-format on
 
-INSTANTIATE_TEST_SUITE_P(AllConfigs, RoutingGoldenTest, testing::ValuesIn(kGolden),
-                         ConfigName);
+INSTANTIATE_TEST_SUITE_P(
+    AllConfigs, RoutingGoldenTest, testing::ValuesIn(kGolden),
+    [](const testing::TestParamInfo<GoldenConfig>& info) { return ConfigName(info.param); });
 
 }  // namespace
 }  // namespace slb
