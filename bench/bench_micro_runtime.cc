@@ -1,5 +1,5 @@
-// Micro-benchmarks isolating the threaded runtime's two hot-path overhauls
-// (not a paper figure):
+// Micro-benchmarks isolating the threaded runtime's hot-path protocols (not
+// a paper figure):
 //
 //   * BM_AckFanout{PerTuple,Coalesced} — the tuple-tree ack accounting, as
 //     the pre-overhaul runtime did it (one shared-atomic RMW per routed copy
@@ -8,14 +8,25 @@
 //     scheduling quantum with adjacent-run merging). The arg is the tree
 //     fanout; the counter is acks/s.
 //
+//   * BM_FlushWake{PerRing,PerFlush} — the wake side of one emit flush that
+//     publishes one tuple into each of N rings (the arg) spread over 4
+//     executor gates, with a spinning consumer draining them. PerRing is the
+//     earlier protocol: sample the consumer-owned head ("was empty"), push,
+//     and on an empty -> non-empty edge bump the gate's epoch, fence and
+//     check `parked` — per ring. PerFlush is FlushTask's protocol: push every
+//     ring, then one fence and one `parked` load per distinct gate. Only the
+//     flush is timed; the consumer drains every ring between flushes. The
+//     counter is tuples published per second.
+//
 //   * BM_IdleWake — round-trip latency of the adaptive wait ladder's park /
 //     wake edge (IdleGate in runtime.cc, replicated here structurally): the
-//     producer bumps the epoch, fences, and notifies; the parked consumer
-//     must observe the epoch and respond. This is the latency a parked
+//     producer publishes work, fences, and only if the consumer is parked
+//     bumps the epoch and notifies (NotifyIfParked); the parked consumer
+//     must observe the work and respond. This is the latency a parked
 //     executor adds to the first tuple after an idle period — the price
 //     kAdaptive pays over kSpin for not burning the core.
 //
-// Both benches replicate the runtime's structures rather than linking its
+// The benches replicate the runtime's structures rather than linking its
 // internals (RootSlot and IdleGate are runtime.cc-private by design); the
 // layout/ordering discipline — alignas(kCacheLineBytes), acq_rel on the
 // closing decrement, seq_cst fences around the park flag — is kept
@@ -23,9 +34,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -134,8 +148,8 @@ void BM_AckFanoutCoalesced(benchmark::State& state) {
 }
 BENCHMARK(BM_AckFanoutCoalesced)->Arg(1)->Arg(4);
 
-// Structural replica of runtime.cc's IdleGate and its WakeGate/ParkIdle
-// fence pairing.
+// Structural replica of runtime.cc's IdleGate and its fence pairing with
+// ParkIdle.
 struct BenchIdleGate {
   std::atomic<uint64_t> epoch{0};
   std::atomic<uint32_t> parked{0};
@@ -143,44 +157,152 @@ struct BenchIdleGate {
   std::condition_variable cv;
 };
 
-// One park/wake round trip per iteration: the consumer parks until the
-// epoch moves, the producer (benchmark thread) bumps + notifies and waits
-// for the consumer's acknowledgment. Measures the full wake latency a
-// parked executor adds to the first tuple after idleness.
+// runtime.cc's NotifyIfParked: the caller has published and fenced already.
+void BenchNotifyIfParked(BenchIdleGate& gate) {
+  if (gate.parked.load(std::memory_order_relaxed) == 0) return;
+  gate.epoch.fetch_add(1, std::memory_order_release);
+  { std::lock_guard<std::mutex> lock(gate.mu); }
+  gate.cv.notify_all();
+}
+
+constexpr size_t kFlushGates = 4;  // executor threads hosting the rings
+
+// `num_rings` rings, ring r hosted on gate r % kFlushGates, drained by one
+// spinning consumer thread.
+class FlushWakeFixture {
+ public:
+  explicit FlushWakeFixture(size_t num_rings) {
+    for (size_t r = 0; r < num_rings; ++r) {
+      rings_.push_back(std::make_unique<SpscRing<uint64_t>>(1024));
+    }
+    consumer_ = std::thread([this] {
+      uint64_t item = 0;
+      while (!stop_.load(std::memory_order_acquire)) {
+        for (auto& ring : rings_) {
+          while (ring->TryPop(&item)) benchmark::DoNotOptimize(item);
+        }
+      }
+    });
+  }
+  ~FlushWakeFixture() {
+    stop_.store(true, std::memory_order_release);
+    consumer_.join();
+  }
+
+  size_t size() const { return rings_.size(); }
+  SpscRing<uint64_t>& ring(size_t r) { return *rings_[r]; }
+  BenchIdleGate& gate_of(size_t r) { return gates_[r % kFlushGates]; }
+
+  void WaitDrained() const {
+    for (const auto& ring : rings_) {
+      while (!ring->EmptyApprox()) std::this_thread::yield();
+    }
+  }
+
+ private:
+  std::vector<std::unique_ptr<SpscRing<uint64_t>>> rings_;
+  BenchIdleGate gates_[kFlushGates];
+  std::atomic<bool> stop_{false};
+  std::thread consumer_;
+};
+
+// Times one `flush` per iteration, then waits, untimed, until the consumer
+// has drained every ring. Each flush so starts from route-light's steady
+// state — empty rings that a running consumer polls — instead of drifting
+// into a mode where a lagging consumer leaves rings non-empty and the
+// per-ring protocol skips its wakes.
+template <typename Flush>
+void RunFlushWake(benchmark::State& state, Flush flush) {
+  FlushWakeFixture fx(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    flush(fx);
+    state.SetIterationTime(std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count());
+    fx.WaitDrained();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+
+// The earlier FlushTask: per ring, a read of the consumer-owned head line,
+// the push, and on an empty -> non-empty edge an epoch RMW, a seq_cst fence
+// and a `parked` load on the destination's gate.
+void BM_FlushWakePerRing(benchmark::State& state) {
+  RunFlushWake(state, [](FlushWakeFixture& fx) {
+    for (size_t r = 0; r < fx.size(); ++r) {
+      const bool was_empty = fx.ring(r).EmptyApprox();
+      fx.ring(r).TryPush(r);
+      if (was_empty) {
+        BenchIdleGate& gate = fx.gate_of(r);
+        gate.epoch.fetch_add(1, std::memory_order_relaxed);
+        std::atomic_thread_fence(std::memory_order_seq_cst);
+        BenchNotifyIfParked(gate);
+      }
+    }
+  });
+}
+BENCHMARK(BM_FlushWakePerRing)->Arg(64)->UseManualTime();
+
+// FlushTask now: every push first, recording each destination gate once,
+// then one seq_cst fence and one `parked` load per recorded gate.
+void BM_FlushWakePerFlush(benchmark::State& state) {
+  std::vector<BenchIdleGate*> hosts;
+  hosts.reserve(kFlushGates);
+  RunFlushWake(state, [&hosts](FlushWakeFixture& fx) {
+    for (size_t r = 0; r < fx.size(); ++r) {
+      fx.ring(r).TryPush(r);
+      BenchIdleGate* gate = &fx.gate_of(r);
+      if (std::find(hosts.begin(), hosts.end(), gate) == hosts.end()) {
+        hosts.push_back(gate);
+      }
+    }
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    for (BenchIdleGate* gate : hosts) BenchNotifyIfParked(*gate);
+    hosts.clear();
+  });
+}
+BENCHMARK(BM_FlushWakePerFlush)->Arg(64)->UseManualTime();
+
+// One park/wake round trip per iteration: the consumer snapshots the epoch,
+// announces itself parked, fences, re-polls the work counter and sleeps
+// until the epoch moves (ParkIdle); the producer (benchmark thread)
+// publishes work, fences, notifies if parked, and waits for the consumer's
+// acknowledgment. Measures the full wake latency a parked executor adds to
+// the first tuple after idleness.
 void BM_IdleWake(benchmark::State& state) {
   BenchIdleGate gate;
   std::atomic<bool> stop{false};
+  std::atomic<uint64_t> work{0};
   std::atomic<uint64_t> acked{0};
 
   std::thread consumer([&] {
     uint64_t seen = 0;
     while (!stop.load(std::memory_order_acquire)) {
+      const uint64_t epoch = gate.epoch.load(std::memory_order_acquire);
       gate.parked.fetch_add(1, std::memory_order_seq_cst);
       std::atomic_thread_fence(std::memory_order_seq_cst);
-      {
+      if (work.load(std::memory_order_relaxed) == seen) {
         std::unique_lock<std::mutex> lock(gate.mu);
         gate.cv.wait_for(lock, std::chrono::milliseconds(1), [&] {
-          return gate.epoch.load(std::memory_order_relaxed) != seen ||
+          return gate.epoch.load(std::memory_order_relaxed) != epoch ||
                  stop.load(std::memory_order_acquire);
         });
       }
-      gate.parked.fetch_sub(1, std::memory_order_seq_cst);
-      seen = gate.epoch.load(std::memory_order_relaxed);
+      gate.parked.fetch_sub(1, std::memory_order_relaxed);
+      seen = work.load(std::memory_order_acquire);
       acked.store(seen, std::memory_order_release);
     }
   });
 
-  uint64_t epoch = 0;
+  uint64_t published = 0;
   for (auto _ : state) {
-    ++epoch;
-    // WakeGate: bump, fence, notify only if someone is parked.
-    gate.epoch.store(epoch, std::memory_order_relaxed);
+    // The signal side of a ring publish: work, fence, NotifyIfParked.
+    work.store(++published, std::memory_order_release);
     std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (gate.parked.load(std::memory_order_relaxed) > 0) {
-      { std::lock_guard<std::mutex> lock(gate.mu); }
-      gate.cv.notify_all();
-    }
-    while (acked.load(std::memory_order_acquire) < epoch) {
+    BenchNotifyIfParked(gate);
+    while (acked.load(std::memory_order_acquire) < published) {
       std::this_thread::yield();
     }
   }
@@ -191,7 +313,7 @@ void BM_IdleWake(benchmark::State& state) {
   }
   gate.cv.notify_all();
   consumer.join();
-  state.SetItemsProcessed(static_cast<int64_t>(epoch));
+  state.SetItemsProcessed(static_cast<int64_t>(published));
 }
 BENCHMARK(BM_IdleWake)->UseRealTime();
 

@@ -218,7 +218,7 @@ while read -r micro_name rows; do
     echo "OK    $micro_name ($rows reported)"
   fi
 done <<'MICROS'
-bench_micro_runtime BM_AckFanout BM_IdleWake
+bench_micro_runtime BM_AckFanout BM_FlushWake BM_IdleWake
 bench_micro_route BM_RouteDC/64
 bench_micro_sketch BM_SpaceSavingUpdate
 bench_micro_hash BM_SeededHash64

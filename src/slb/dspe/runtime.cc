@@ -97,7 +97,7 @@ struct ThreadCtx;
 struct TaskState {
   // Executor thread hosting this task (tasks never migrate; set before the
   // host starts, or at the rescale barrier for scale-out workers). Producers
-  // use it to wake the host when they publish into one of its empty rings.
+  // use it to wake the host after publishing into one of its rings.
   ThreadCtx* host = nullptr;
   uint32_t task_id = 0;
   uint32_t component = 0;
@@ -106,6 +106,9 @@ struct TaskState {
   std::unique_ptr<Bolt> bolt;
   std::vector<std::unique_ptr<StreamPartitioner>> partitioners;
   std::vector<OutEdge> out;
+  // FlushTask scratch (kAdaptive only): the distinct hosts one flush
+  // published to, at most one entry per executor thread.
+  std::vector<ThreadCtx*> wake_hosts;
   // Bolt: input rings, one per upstream producer task (MPSC as polled SPSC).
   std::vector<SpscRing<RtTuple>*> inputs;
   size_t input_cursor = 0;
@@ -216,12 +219,16 @@ struct ThreadCtx;
 
 // Wakeup gate of ONE parked executor (WaitStrategy::kAdaptive) — per-thread
 // so producers wake exactly the host of the consumer they published to,
-// never the whole fleet. `epoch` ticks on every signal; the parker snapshots
-// it before announcing itself in `parked`, so the cv predicate catches any
-// signal racing the park. The signaller's seq_cst fence pairs with the
-// parker's (Dekker-style): either the signaller sees `parked` > 0 and
-// notifies, or the parker's final work poll sees whatever the signaller
-// published before signalling.
+// never the whole fleet. Every wake pairs two seq_cst fences, Dekker-style:
+//
+//   signaller: publish work -> fence -> load `parked`
+//   parker:    `parked`++   -> fence -> poll for work (MaybeRunnable)
+//
+// so either the signaller sees `parked` > 0 and notifies, or the parker's
+// poll sees the published work and does not sleep. `epoch` ticks only on a
+// notify (i.e. only while `parked` > 0): the parker snapshots it before
+// announcing itself, so the cv predicate catches a notify racing the park,
+// and a signaller finding the owner running writes nothing on this line.
 struct IdleGate {
   std::atomic<uint64_t> epoch{0};
   std::atomic<uint32_t> parked{0};
@@ -317,21 +324,28 @@ struct ThreadCtx {
   uint64_t parks = 0;
 };
 
-// Signals one gate: any signal racing a park is caught either by the epoch
-// tick (cv predicate) or by the parker's post-announce work poll.
-void WakeGate(IdleGate& gate) {
-  gate.epoch.fetch_add(1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (gate.parked.load(std::memory_order_relaxed) > 0) {
-    // Empty critical section: a parker between its predicate check and
-    // cv.wait cannot miss the notify once we pass through the mutex.
-    { std::lock_guard<std::mutex> lock(gate.mu); }
-    gate.cv.notify_all();
-  }
+// The notify half of a wake. The caller must already have published its
+// work and issued the seq_cst fence that pairs with ParkIdle's; one fence
+// may cover any number of gates. The release on the epoch bump pairs with
+// the parker's acquire snapshot, so a snapshot can never read a bump whose
+// `parked` load already saw that same park's announcement.
+void NotifyIfParked(IdleGate& gate) {
+  if (gate.parked.load(std::memory_order_relaxed) == 0) return;
+  gate.epoch.fetch_add(1, std::memory_order_release);
+  // Empty critical section: a parker between its predicate check and
+  // cv.wait cannot miss the notify once we pass through the mutex.
+  { std::lock_guard<std::mutex> lock(gate.mu); }
+  gate.cv.notify_all();
 }
 
-// Targeted wake: pokes the executor hosting `task`. Cheap when that thread
-// is not parked — one fetch_add, one fence, one load on its gate.
+// A complete wake of one gate: the fence, then the notify half.
+void WakeGate(IdleGate& gate) {
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  NotifyIfParked(gate);
+}
+
+// Targeted wake for the handoff paths: pokes the executor hosting `task`.
+// Cheap when that thread is not parked — one fence and one shared load.
 inline void WakeHost(Runtime& rt, TaskState* task) {
   if (rt.adaptive() && task->host != nullptr) WakeGate(task->host->gate);
 }
@@ -358,36 +372,44 @@ uint64_t PreCount(uint64_t p, uint32_t s, uint32_t num_spouts) {
 }
 
 // Attempts to publish every buffered tuple; returns true if any tuple moved.
-// Publishing into an EMPTY ring wakes the consumer's host: a consumer can
-// only park after observing all its rings empty, so every tuple it could be
-// sleeping on crosses an empty->non-empty edge and fires exactly this wake.
-// The edge detection is approximate: was_empty is sampled before the push,
-// so a consumer popping the last pre-existing element in that window can
-// make the producer see "non-empty" and skip the wake while the consumer
-// parks. That lost edge is deliberately tolerated — ParkIdle's 1 ms timed
-// wait re-polls the rings, so the worst case is a bounded latency blip, not
-// a deadlock; closing it would cost a seq_cst fence on every flush.
+// Under kAdaptive, every push is followed by a wake of the destination's
+// host, coalesced per host: the pushes go first (each recording its host
+// once in task.wake_hosts), then ONE seq_cst fence, then one `parked` load
+// per recorded host. A consumer parks only after its post-announce poll
+// found all its rings empty, so by the fence pairing on IdleGate every
+// tuple published here either reaches that poll or finds the consumer
+// parked and notifies it — no wake depends on ParkIdle's timed wait.
+// kSpin never parks, so it records no hosts and issues no fence.
 bool FlushTask(Runtime& rt, TaskState& task) {
+  const bool adaptive = rt.adaptive();
   bool moved = false;
   for (OutEdge& edge : task.out) {
     for (size_t d = 0; d < edge.rings.size(); ++d) {
       std::vector<RtTuple>& buf = edge.buffers[d];
       size_t& sent = edge.flushed[d];
       if (sent == buf.size()) continue;
-      SpscRing<RtTuple>& ring = *edge.rings[d];
-      const bool was_empty = ring.EmptyApprox();
       const size_t pushed =
-          ring.TryPushBatch(buf.data() + sent, buf.size() - sent);
+          edge.rings[d]->TryPushBatch(buf.data() + sent, buf.size() - sent);
       sent += pushed;
       if (pushed > 0) {
         moved = true;
-        if (was_empty) WakeHost(rt, edge.dest_tasks[d]);
+        ThreadCtx* host = edge.dest_tasks[d]->host;
+        if (adaptive && host != nullptr &&
+            std::find(task.wake_hosts.begin(), task.wake_hosts.end(),
+                      host) == task.wake_hosts.end()) {
+          task.wake_hosts.push_back(host);
+        }
       }
       if (sent == buf.size()) {
         buf.clear();
         sent = 0;
       }
     }
+  }
+  if (!task.wake_hosts.empty()) {
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    for (ThreadCtx* host : task.wake_hosts) NotifyIfParked(host->gate);
+    task.wake_hosts.clear();
   }
   return moved;
 }
@@ -475,11 +497,19 @@ bool FlushAcks(Runtime& rt, ThreadCtx& ctx) {
     if (ctx.spout_acked[s] == 0) continue;
     rt.tasks[s]->in_flight.fetch_sub(ctx.spout_acked[s],
                                      std::memory_order_relaxed);
-    ctx.spout_acked[s] = 0;
-    // Returned credit may unblock a spout parked on an exhausted window.
-    WakeHost(rt, rt.tasks[s].get());
   }
   rt.active_roots.fetch_sub(completed, std::memory_order_release);
+  // Returned credit may unblock a spout parked on an exhausted window: every
+  // return above is published before the one fence, then each credited
+  // spout's host is checked (the same pairing as FlushTask's).
+  const bool adaptive = rt.adaptive();
+  if (adaptive) std::atomic_thread_fence(std::memory_order_seq_cst);
+  for (uint32_t s = 0; s < rt.num_spout_tasks; ++s) {
+    if (ctx.spout_acked[s] == 0) continue;
+    ctx.spout_acked[s] = 0;
+    ThreadCtx* host = rt.tasks[s]->host;
+    if (adaptive && host != nullptr) NotifyIfParked(host->gate);
+  }
   return true;
 }
 
@@ -1244,14 +1274,17 @@ bool MaybeRunnable(Runtime& rt, ThreadCtx& ctx) {
   return false;
 }
 
-// The parked rung: announce in the gate, re-poll once (the Dekker pairing
-// with WakeGate), then sleep on the cv until the epoch moves. The 1 ms
-// timed wait is a safety net, not the wake path — any missed-wakeup bug
-// degrades to polling instead of deadlock (and the stress tests would still
-// catch it through the parks/idle accounting).
+// The parked rung: snapshot the epoch, announce in `parked`, fence, re-poll
+// once (the parker's half of the pairing on IdleGate), then sleep on the cv
+// until the epoch moves. Every wake source — ring publish (FlushTask),
+// credit return (FlushAcks), handoff frames (WakeHost) and the global
+// transitions (Runtime::WakeAll) — publishes before its own seq_cst fence,
+// so the re-poll sees its work or it sees `parked` and notifies. The 1 ms
+// timed wait is a backstop that no wake depends on; it keeps any future
+// missed-wakeup bug a latency blip instead of a deadlock.
 void ParkIdle(Runtime& rt, ThreadCtx& ctx) {
   IdleGate& gate = ctx.gate;
-  const uint64_t epoch = gate.epoch.load(std::memory_order_relaxed);
+  const uint64_t epoch = gate.epoch.load(std::memory_order_acquire);
   gate.parked.fetch_add(1, std::memory_order_seq_cst);
   std::atomic_thread_fence(std::memory_order_seq_cst);
   if (rt.stop.load(std::memory_order_acquire) || MaybeRunnable(rt, ctx)) {

@@ -80,9 +80,11 @@ enum class WaitStrategy : uint8_t {
   kSpin,
   /// Escalating ladder: cpu-relax spin -> timed yield -> park on a condition
   /// variable until a producer signals new work (ring publish, credit
-  /// return, phase change, shutdown). Parked threads cost nothing; a 1 ms
-  /// timed wait bounds any missed-wakeup window. Idle/park time is surfaced
-  /// in TopologyStats (idle_s / park_s / parks).
+  /// return, phase change, shutdown). Parked threads cost nothing. Every
+  /// wake pairs a seq_cst fence on the signalling side with one on the
+  /// parking side, so no wake depends on the parked thread's 1 ms timed
+  /// wait, which stays only as a backstop. Idle/park time is surfaced in
+  /// TopologyStats (idle_s / park_s / parks).
   kAdaptive,
 };
 

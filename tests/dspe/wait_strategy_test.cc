@@ -1,7 +1,7 @@
 // Concurrency stress battery for the adaptive executor wait ladder
 // (WaitStrategy::kAdaptive in runtime.h): spin -> yield -> park on a
-// per-thread idle gate, with producers waking consumers on the empty ->
-// non-empty ring edge.
+// per-thread idle gate, with every ring publish, credit return and handoff
+// frame followed by a wake check of the destination's host.
 //
 // The ladder's failure modes are all liveness bugs, so every test here is a
 // completion check under conditions tuned to force maximal park/unpark
@@ -9,11 +9,16 @@
 // straight to the condition variable):
 //
 //   * lost wakeup — a producer publishes while the consumer is between its
-//     "rings empty" poll and the park; the Dekker-style fence pairing in
-//     WakeGate/ParkIdle must make the publish visible or the wake land,
-//     else the run hangs until the 1 ms safety timeout masks it (the test
-//     still passes then, but TSan + the park counters keep the machinery
-//     honest);
+//     "rings empty" poll and the park. Each signaller publishes, issues a
+//     seq_cst fence and then checks the gate's `parked` count; the parker
+//     announces in `parked`, fences and then re-polls its rings. So either
+//     the publish reaches the poll or the wake lands, and no wake depends on
+//     ParkIdle's 1 ms timed wait, which stays as a backstop (a broken
+//     pairing would still pass here by falling back on it, but TSan and the
+//     park counters keep the machinery honest). Covered with one ring per
+//     flush (the PKG hammer) and with flushes that publish into many rings
+//     sharing a host (the 64-way D-C hammer, which exercises the per-host
+//     wake coalescing);
 //   * shutdown while parked — the last root can ack while other executors
 //     are parked; termination must broadcast to every gate;
 //   * rescale quiesce reaching parked executors — the elastic barrier
@@ -110,7 +115,7 @@ TopologyBuilder::Topology SpoutBoltTopology(
 // Runtime options tuned for maximal park churn: executors park on the first
 // idle pass, 2-slot rings and a 2-credit window force constant tiny
 // publishes, batch 1 defeats emit batching so every tuple is its own
-// empty -> non-empty wake edge.
+// publish and wake.
 TopologyRuntimeOptions HammerOptions(uint32_t threads) {
   TopologyRuntimeOptions rt;
   rt.num_threads = threads;
@@ -122,38 +127,50 @@ TopologyRuntimeOptions HammerOptions(uint32_t threads) {
   return rt;
 }
 
-TEST(WaitStrategyTest, LostWakeupHammerAcrossThreadCounts) {
-  constexpr uint64_t kMessages = 8000;
-  constexpr uint64_t kNumKeys = 200;
-  constexpr uint32_t kSpouts = 4;
-  constexpr uint32_t kWorkers = 8;
+// One lost-wakeup hammer: runs `spouts` -> `workers` over `algorithm` at 1, 4
+// and 8 executor threads and checks completion and exact per-key delivery.
+struct HammerShape {
+  uint64_t messages = 0;
+  uint64_t num_keys = 0;
+  uint64_t seed = 0;
+  uint32_t spouts = 0;
+  uint32_t workers = 0;
+  AlgorithmKind algorithm = AlgorithmKind::kPkg;
+  uint32_t max_pending = 0;
+  uint32_t queue_capacity = 0;
+  uint32_t batch_size = 0;
+};
 
-  auto keys = MakeZipfKeys(kMessages, kNumKeys, 17);
-  std::vector<uint64_t> expected_per_key(kNumKeys, 0);
+void RunHammerAcrossThreadCounts(const HammerShape& shape) {
+  auto keys = MakeZipfKeys(shape.messages, shape.num_keys, shape.seed);
+  std::vector<uint64_t> expected_per_key(shape.num_keys, 0);
   for (uint64_t key : *keys) ++expected_per_key[key];
 
   for (uint32_t threads : {1u, 4u, 8u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    auto histogram = std::make_shared<DeliveryHistogram>(kNumKeys);
+    auto histogram = std::make_shared<DeliveryHistogram>(shape.num_keys);
     TopologyOptions options;
     options.hash_seed = 7;
-    options.seed = 17;
-    options.max_pending_per_spout = 2;
+    options.seed = shape.seed;
+    options.max_pending_per_spout = shape.max_pending;
+    TopologyRuntimeOptions rt = HammerOptions(threads);
+    rt.queue_capacity = shape.queue_capacity;
+    rt.batch_size = shape.batch_size;
 
     auto result = ExecuteTopologyThreaded(
-        SpoutBoltTopology(keys, kSpouts, kWorkers, AlgorithmKind::kPkg,
+        SpoutBoltTopology(keys, shape.spouts, shape.workers, shape.algorithm,
                           histogram),
-        options, HammerOptions(threads));
+        options, rt);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     const TopologyStats& stats = result.value();
 
     // Completion is the property under test: a lost wakeup stalls the run on
     // the 1 ms safety timeout per lost edge, and a wake that dereferences a
     // retired gate is a TSan report.
-    EXPECT_EQ(stats.roots_acked, kMessages);
+    EXPECT_EQ(stats.roots_acked, shape.messages);
     ASSERT_EQ(stats.components.size(), 2u);
-    EXPECT_EQ(stats.components[1].tuples_processed, kMessages);
-    for (uint64_t key = 0; key < kNumKeys; ++key) {
+    EXPECT_EQ(stats.components[1].tuples_processed, shape.messages);
+    for (uint64_t key = 0; key < shape.num_keys; ++key) {
       ASSERT_EQ(histogram->per_key[key].load(std::memory_order_relaxed),
                 expected_per_key[key])
           << "key " << key;
@@ -172,6 +189,41 @@ TEST(WaitStrategyTest, LostWakeupHammerAcrossThreadCounts) {
       EXPECT_GT(stats.parks, 0u);
     }
   }
+}
+
+// One ring per flush, on HammerOptions' tiny rings and credit window.
+TEST(WaitStrategyTest, LostWakeupHammerAcrossThreadCounts) {
+  RunHammerAcrossThreadCounts(HammerShape{
+      .messages = 8000,
+      .num_keys = 200,
+      .seed = 17,
+      .spouts = 4,
+      .workers = 8,
+      .algorithm = AlgorithmKind::kPkg,
+      .max_pending = 2,
+      .queue_capacity = 2,
+      .batch_size = 1,
+  });
+}
+
+// The benchmark's route-light shape: 2 spouts feeding 64 D-C counting sinks
+// through 64-tuple emit batches under a 70-root credit window. Each flush
+// then publishes about one tuple into each of many rings, most of which
+// share a host, so this drives FlushTask's per-host wake coalescing (one
+// fence, one `parked` check per distinct host) and FlushAcks' per-spout
+// credit wakes.
+TEST(WaitStrategyTest, WideFanOutWakeHammerAcrossThreadCounts) {
+  RunHammerAcrossThreadCounts(HammerShape{
+      .messages = 20000,
+      .num_keys = 1000,
+      .seed = 41,
+      .spouts = 2,
+      .workers = 64,
+      .algorithm = AlgorithmKind::kDChoices,
+      .max_pending = 70,
+      .queue_capacity = 1024,
+      .batch_size = 64,
+  });
 }
 
 // The last root can ack while every other executor is parked with empty
