@@ -2,10 +2,11 @@
 // KG, PKG, D-C, W-C, and SG on ZF streams with z in {1.4, 1.7, 2.0}
 // (n = 80 workers, 48 sources, |K| = 1e4, m = 2e6 at paper scale).
 //
-// The cluster model is the queueing network described in
-// slb/sim/dspe_simulator.h (the Apache Storm stand-in; see DESIGN.md). Each
-// sweep cell is one RunDspeSimulation; the throughput_per_s / makespan_s /
-// completed payload columns carry the figure.
+// Each sweep cell builds the topology of bench/common/dspe_cell.h and runs it
+// on ExecuteTopology (the default --engine sim: the queueing model of the
+// Apache Storm cluster described in slb/dspe/topology.h) or on the threaded
+// runtime (--engine threaded). The throughput_per_s / makespan_s / completed
+// payload columns carry the figure.
 //
 // Expected shape: KG lowest and degrading with skew; PKG in between, also
 // degrading; D-C and W-C matching SG's (transport-bound) plateau. Paper

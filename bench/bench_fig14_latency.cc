@@ -1,9 +1,10 @@
 // Figure 14 — end-to-end latency on the simulated DSPE cluster for KG, PKG,
 // D-C, W-C, and SG on ZF streams with z in {1.4, 1.7, 2.0} (n = 80,
-// 48 sources). The lat_* payload columns are the tuple-level latency
-// snapshot; the worker_avg_* metric columns report, as the paper does, the
-// maximum of the per-worker average latencies plus the 50th/95th/99th
-// percentiles across workers.
+// 48 sources). The cells are Fig. 13's (bench/common/dspe_cell.h) on the same
+// two engines. The lat_* payload columns are the tuple-level latency
+// snapshot; under --engine sim the worker_avg_* metric columns report, as the
+// paper does, the maximum of the per-worker average latencies plus the
+// 50th/95th/99th percentiles across workers (SummarizeTaskLatency).
 //
 // Expected shape: KG's hot-worker queue inflates its max latency by multiples
 // of SG's; PKG sits in between; D-C and W-C track SG closely. Paper headline:

@@ -1,11 +1,11 @@
 // Table I — summary of the datasets used in the experiments: number of
 // messages, number of (distinct) keys, and probability of the most frequent
-// key p1. Our datasets are calibrated synthetic stand-ins (see DESIGN.md);
-// each sweep cell measures one generated stream and reports the paper's
-// targets next to the measured statistics as metric columns (paper_msgs /
-// paper_keys / paper_p1_pct vs msgs / distinct_keys / p1_pct, plus the
-// calibrated zipf_z). No routing is simulated; the algorithm/workers
-// coordinates are placeholders.
+// key p1. Our datasets are calibrated synthetic stand-ins (see
+// docs/ARCHITECTURE.md); each sweep cell measures one generated stream and
+// reports the paper's targets next to the measured statistics as metric
+// columns (paper_msgs / paper_keys / paper_p1_pct vs msgs / distinct_keys /
+// p1_pct, plus the calibrated zipf_z). No routing is simulated; the
+// algorithm/workers coordinates are placeholders.
 
 #include <cstdio>
 #include <map>

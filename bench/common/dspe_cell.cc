@@ -11,13 +11,13 @@
 namespace slb::bench {
 namespace {
 
-// Spout used by the threaded engine: the scenario's global stream split
-// round-robin among the spout tasks (spout s emits keys s, s+S, s+2S, ...).
-// This is the same sender interleave the partition simulator models, so a
-// threaded run and a sim run over the same generator route the same keys
-// from the same senders — the property the elastic-rescale replay and the
-// sim-vs-threaded equivalence test depend on. All spouts share one
-// materialized key vector (read-only after construction, so thread-safe).
+// The cell's spout: the scenario's global stream split round-robin among
+// the spout tasks (spout s emits keys s, s+S, s+2S, ...). This is the same
+// sender interleave the partition simulator models, so both engines and the
+// partition simulator route the same keys from the same senders: the
+// property the elastic-rescale replay and the sim-vs-threaded equivalence
+// test depend on. All spouts share one materialized key vector (read-only
+// after construction, so thread-safe).
 class CellVectorSpout final : public Spout {
  public:
   CellVectorSpout(std::shared_ptr<const std::vector<uint64_t>> keys,
@@ -38,56 +38,23 @@ class CellVectorSpout final : public Spout {
   uint64_t stride_;
 };
 
-Result<CellPayload> RunSimCell(const DspeCellOptions& options,
-                               const DspeConfig& config) {
-  auto result = RunDspeSimulation(config);
-  if (!result.ok()) return result.status();
-
-  CellPayload payload;
-  payload.sim.total_messages = result->completed;
-  if (options.throughput) {
-    ThroughputCounters counters;
-    counters.throughput_per_s = result->throughput_per_s;
-    counters.makespan_s = result->makespan_s;
-    counters.completed = result->completed;
-    payload.throughput = counters;
-  }
-  if (options.latency) {
-    LatencySnapshot snapshot;
-    snapshot.count = static_cast<int64_t>(result->completed);
-    snapshot.avg_ms = result->latency_avg_ms;
-    snapshot.p50_ms = result->latency_p50_ms;
-    snapshot.p95_ms = result->latency_p95_ms;
-    snapshot.p99_ms = result->latency_p99_ms;
-    snapshot.max_ms = result->latency_max_ms;
-    payload.latency = snapshot;
-  }
-  if (options.worker_latency) {
-    payload.AddMetric("worker_avg_max_ms", result->max_worker_avg_latency_ms);
-    payload.AddMetric("worker_avg_p50_ms", result->p50_worker_avg_latency_ms);
-    payload.AddMetric("worker_avg_p95_ms", result->p95_worker_avg_latency_ms);
-    payload.AddMetric("worker_avg_p99_ms", result->p99_worker_avg_latency_ms);
-  }
-  return payload;
-}
-
-Result<CellPayload> RunThreadedCell(const DspeCellOptions& options,
-                                    const DspeConfig& config,
-                                    const SweepCellContext& ctx) {
-  // The same spout->worker shape the simulator models: num_sources spout
-  // tasks splitting the scenario's stream round-robin, `n` worker-bolt
-  // tasks, the cell's grouping scheme on the single edge. Worker state is a
-  // real per-key sum, so processing cost is genuine work rather than an
-  // injected delay.
+Result<CellPayload> RunCell(const DspeCellOptions& options,
+                            const SweepCellContext& ctx) {
+  // The paper's cluster shape: num_sources spout tasks splitting the
+  // scenario's stream round-robin, `n` worker-bolt tasks, the cell's
+  // grouping scheme on the single edge. Worker state is a real per-key sum.
   auto gen = ctx.MakeStream();
   if (!gen.ok()) return gen.status();
+  const uint64_t num_messages = (*gen)->num_messages();
   auto stream = std::make_shared<std::vector<uint64_t>>();
-  stream->reserve(config.num_messages);
-  for (uint64_t i = 0; i < config.num_messages; ++i) {
+  stream->reserve(num_messages);
+  for (uint64_t i = 0; i < num_messages; ++i) {
     stream->push_back((*gen)->NextKey());
   }
   std::shared_ptr<const std::vector<uint64_t>> shared_stream = stream;
-  const uint32_t num_sources = config.num_sources;
+  const uint32_t num_sources = ctx.variant->num_sources > 0
+                                   ? ctx.variant->num_sources
+                                   : ctx.grid->num_sources;
 
   TopologyBuilder builder;
   builder.AddSpout(
@@ -96,7 +63,7 @@ Result<CellPayload> RunThreadedCell(const DspeCellOptions& options,
         return std::make_unique<CellVectorSpout>(shared_stream, task,
                                                  num_sources);
       },
-      config.num_sources);
+      num_sources);
   Grouping grouping;
   grouping.algorithm = ctx.algorithm;
   // theta/epsilon/sketch knobs carry over; num_workers and hash_seed are
@@ -105,30 +72,34 @@ Result<CellPayload> RunThreadedCell(const DspeCellOptions& options,
   builder
       .AddBolt("workers",
                [](uint32_t) { return std::make_unique<CountingBolt>(); },
-               config.partitioner.num_workers)
+               ctx.num_workers)
       .Input("sources", grouping);
 
+  // The cluster's service times and credit window are TopologyOptions'
+  // defaults; only the seeds are per cell.
   TopologyOptions topology_options;
-  topology_options.hash_seed = config.partitioner.hash_seed;
-  topology_options.seed = config.seed;
-  topology_options.max_pending_per_spout = config.max_pending_per_source;
+  topology_options.hash_seed = ctx.grid->seed;
+  topology_options.seed = ctx.run_seed;
 
-  // Live elastic rescale: the variant's schedule (the sweep axis in
-  // bench_elastic_rescale) wins over the grid default, mirroring how the
-  // simulator's RunDefault() resolves it.
+  // Live elastic rescale (threaded engine only): the variant's schedule (the
+  // sweep axis in bench_elastic_rescale) wins over the grid default,
+  // mirroring how the simulator's RunDefault() resolves it.
   TopologyRuntimeOptions runtime = options.runtime;
   const RescaleSchedule& schedule = !ctx.variant->rescale.empty()
                                         ? ctx.variant->rescale
                                         : ctx.grid->rescale;
   if (!schedule.empty()) {
     runtime.rescale.schedule = schedule;
-    runtime.rescale.total_messages = config.num_messages;
+    runtime.rescale.total_messages = num_messages;
   }
 
-  auto result =
-      ExecuteTopologyThreaded(builder.Build(), topology_options, runtime);
+  const bool threaded = options.engine == DspeEngine::kThreaded;
+  auto result = threaded ? ExecuteTopologyThreaded(builder.Build(),
+                                                   topology_options, runtime)
+                         : ExecuteTopology(builder.Build(), topology_options);
   if (!result.ok()) return result.status();
   const TopologyStats& stats = result.value();
+  const ComponentStats& workers = stats.components.back();
 
   CellPayload payload;
   payload.sim.total_messages = stats.roots_acked;
@@ -149,6 +120,15 @@ Result<CellPayload> RunThreadedCell(const DspeCellOptions& options,
     snapshot.max_ms = stats.latency_max_ms;
     payload.latency = snapshot;
   }
+  if (options.worker_latency) {
+    const TaskLatencySummary summary = SummarizeTaskLatency(workers);
+    payload.AddMetric("worker_avg_max_ms", summary.max_ms);
+    payload.AddMetric("worker_avg_p50_ms", summary.p50_ms);
+    payload.AddMetric("worker_avg_p95_ms", summary.p95_ms);
+    payload.AddMetric("worker_avg_p99_ms", summary.p99_ms);
+  }
+  if (!threaded) return payload;
+
   // Executor idle accounting (the kAdaptive wait ladder; all zero under
   // kSpin). Always attached so the smoke guard can assert the columns exist
   // and are non-negative on every threaded run.
@@ -174,13 +154,9 @@ Result<CellPayload> RunThreadedCell(const DspeCellOptions& options,
     payload.AddMetric("migration_stall_s", rs.total_migration_stall_s);
     payload.AddCount("handoff_frames", rs.handoff_frames);
     payload.AddCount("measured_stalls", rs.measured_stalled_messages);
-    for (const ComponentStats& comp : stats.components) {
-      if (comp.name == "workers") {
-        payload.sim.final_imbalance = comp.imbalance;
-        payload.sim.worker_loads = comp.task_loads;
-        payload.sim.final_num_workers = rs.final_parallelism;
-      }
-    }
+    payload.sim.final_imbalance = workers.imbalance;
+    payload.sim.worker_loads = workers.task_loads;
+    payload.sim.final_num_workers = rs.final_parallelism;
   }
   return payload;
 }
@@ -206,28 +182,8 @@ Result<WaitStrategy> ParseWaitStrategy(const std::string& text) {
 }
 
 SweepCellRunner MakeDspeCellRunner(DspeCellOptions options) {
-  return [options](const SweepCellContext& ctx) -> Result<CellPayload> {
-    DspeConfig config = options.base;
-    config.algorithm = ctx.algorithm;
-    config.partitioner = ctx.variant->options;
-    config.partitioner.num_workers = ctx.num_workers;
-    config.partitioner.hash_seed = ctx.grid->seed;
-    config.num_sources = ctx.variant->num_sources > 0
-                             ? ctx.variant->num_sources
-                             : ctx.grid->num_sources;
-    config.zipf_exponent = ctx.scenario->param;
-    config.seed = ctx.run_seed;
-    // Single source of truth for the workload size: the scenario's own
-    // generator (both engines draw their streams internally, so only the
-    // counts and the exponent cross over).
-    auto gen = ctx.MakeStream();
-    if (!gen.ok()) return gen.status();
-    config.num_messages = (*gen)->num_messages();
-    config.num_keys = (*gen)->num_keys();
-
-    return options.engine == DspeEngine::kThreaded
-               ? RunThreadedCell(options, config, ctx)
-               : RunSimCell(options, config);
+  return [options](const SweepCellContext& ctx) {
+    return RunCell(options, ctx);
   };
 }
 

@@ -1,22 +1,25 @@
-// Sweep cell runner for the cluster-level experiments (Figs. 13-14). Each
-// cell runs one of two engines:
+// Sweep cell runner for the cluster-level experiments (Figs. 13-14). Every
+// cell builds the same topology: `sources` spout tasks splitting the
+// scenario's stream round-robin into `n` CountingBolt workers over the cell's
+// grouping. It then runs on one of two engines:
 //
-//   * kSim       — RunDspeSimulation, the queueing-network Storm stand-in
-//                  (modeled service times; deterministic, fast);
+//   * kSim       — ExecuteTopology, the discrete-event model of the paper's
+//                  Storm cluster (TopologyOptions' default service times;
+//                  deterministic, fast);
 //   * kThreaded  — ExecuteTopologyThreaded, the real multi-threaded runtime
 //                  (SPSC rings, credit backpressure): throughput and latency
 //                  are *measured* on the host, not modeled.
 //
-// Either way the cell reports throughput counters and latency snapshots in
-// the cell payload (the partition-sim fields stay zero — these experiments
-// measure the cluster, not routing imbalance).
+// Routing is byte-identical across the two: both use the scenario stream and
+// the per-edge hash seed. Either way the cell reports throughput counters and
+// latency snapshots in the cell payload (the partition-sim fields stay zero —
+// these experiments measure the cluster, not routing imbalance).
 
 #pragma once
 
 #include <string>
 
 #include "slb/dspe/runtime.h"
-#include "slb/sim/dspe_simulator.h"
 #include "slb/sim/sweep.h"
 
 namespace slb::bench {
@@ -34,12 +37,6 @@ Result<DspeEngine> ParseDspeEngine(const std::string& text);
 Result<WaitStrategy> ParseWaitStrategy(const std::string& text);
 
 struct DspeCellOptions {
-  /// Template config for the cluster's service parameters. Everything
-  /// workload- or cell-shaped is overwritten per cell: algorithm,
-  /// partitioner options, worker count, source count, seed, the Zipf
-  /// exponent (SweepScenario::param), and the message/key counts (read
-  /// from the scenario's generator, the single source of truth).
-  DspeConfig base;
   DspeEngine engine = DspeEngine::kSim;
   /// kThreaded only: executor threads / ring sizes / emit batch.
   TopologyRuntimeOptions runtime;
@@ -47,8 +44,8 @@ struct DspeCellOptions {
   bool throughput = true;       // Fig. 13 columns
   bool latency = true;          // tuple-level latency snapshot
   bool worker_latency = false;  // Fig. 14's per-worker average percentiles
-                                // (kSim only; the threaded runtime reports
-                                // tuple-level percentiles)
+                                // (kSim only: the threaded runtime leaves
+                                // task_latency_avg_ms empty)
 };
 
 SweepCellRunner MakeDspeCellRunner(DspeCellOptions options);

@@ -118,7 +118,9 @@ int main(int argc, char** argv) {
   }, static_cast<uint32_t>(counters)).Input("split", grouping);
 
   slb::TopologyOptions options;
-  options.spout_service_ms = 0.05;
+  // All spouts share one emission stage. At 0.025 ms per copy it emits
+  // 40k tuples/s, the capacity of the default 2 spouts at 0.05 ms each.
+  options.spout_service_ms = 0.025;
   options.bolt_service_ms = 1.0;  // the paper's 1 ms/tuple CPU cost
   options.max_pending_per_spout = 70;
 

@@ -38,19 +38,19 @@ namespace {
 
 struct InFlight {
   TopologyTuple tuple;
-  uint64_t root = 0;  // index into root bookkeeping
+  uint32_t root = 0;  // slot in the root table
 };
 
 struct Task {
   uint32_t component = 0;
-  uint32_t index = 0;  // instance index within the component
-  bool busy = false;
+  bool busy = false;  // bolts: a kTaskDone event is pending
   std::deque<InFlight> queue;
   // One sender-local partitioner per outgoing edge of the component.
   std::vector<std::unique_ptr<StreamPartitioner>> partitioners;
   std::unique_ptr<Spout> spout;
   std::unique_ptr<Bolt> bolt;
   uint64_t processed = 0;
+  RunningStats root_latency_ms;  // trees whose last tuple finished here
   // Spout-only:
   uint32_t credits = 0;
   bool exhausted = false;
@@ -62,12 +62,12 @@ struct Root {
   uint32_t spout_task = 0;
 };
 
-enum class EventType : uint8_t { kSpoutEmit, kTaskDone };
+enum class EventType : uint8_t { kTransportDone, kTaskDone };
 
 struct Event {
   double time_s;
   EventType type;
-  uint32_t task;
+  uint32_t task;  // kTaskDone only
   bool operator>(const Event& other) const { return time_s > other.time_s; }
 };
 
@@ -100,7 +100,6 @@ Result<TopologyStats> ExecuteTopology(const TopologyBuilder::Topology& topology,
     for (uint32_t i = 0; i < components[c].parallelism; ++i) {
       Task task;
       task.component = c;
-      task.index = i;
       if (components[c].is_spout) {
         task.spout = topology.spouts[components[c].decl_index].factory(i);
         task.credits = options.max_pending_per_spout;
@@ -131,78 +130,120 @@ Result<TopologyStats> ExecuteTopology(const TopologyBuilder::Topology& topology,
   const double spout_service_s = options.spout_service_ms / 1e3;
   const double bolt_service_s = options.bolt_service_ms / 1e3;
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events;
+  // The emission stage shared by all spouts: (destination task, copy).
+  std::deque<std::pair<uint32_t, InFlight>> emission;
+  bool emission_busy = false;
+  // Root slots are recycled once acked, so the table never holds more than
+  // the credit window (spouts x max_pending_per_spout) at once.
   std::vector<Root> roots;
+  std::vector<uint32_t> free_roots;
   Histogram latency_ms(1 << 18, options.seed ^ 0xabcdULL);
   TopologyStats stats;
   double now_s = 0.0;
   double last_ack_s = 0.0;
 
+  // Queues `copy` at bolt task `target`, starting its server if idle.
+  auto deliver = [&](uint32_t target, const InFlight& copy) {
+    Task& dest = tasks[target];
+    dest.queue.push_back(copy);
+    if (!dest.busy) {
+      dest.busy = true;
+      events.push(Event{now_s + bolt_service_s, EventType::kTaskDone, target});
+    }
+  };
+
   // Routes `tuple` along every outgoing edge of `task`; returns copies made.
+  // A spout's copies wait in the emission stage, a bolt's go straight to
+  // their destination queues.
   auto route_downstream = [&](Task& task, const TopologyTuple& tuple,
-                              uint64_t root) {
+                              uint32_t root) {
     const PlannedComponent& comp = components[task.component];
-    uint64_t copies = 0;
     for (size_t e = 0; e < comp.outputs.size(); ++e) {
       const PlannedEdge& edge = comp.outputs[e];
-      const uint32_t idx = task.partitioners[e]->Route(tuple.key);
-      const uint32_t target = components[edge.to_component].first_task + idx;
-      tasks[target].queue.push_back(InFlight{tuple, root});
-      ++copies;
-      if (!tasks[target].busy) {
-        tasks[target].busy = true;
-        events.push(Event{now_s + bolt_service_s, EventType::kTaskDone, target});
+      const uint32_t target = components[edge.to_component].first_task +
+                              task.partitioners[e]->Route(tuple.key);
+      if (task.spout == nullptr) {
+        deliver(target, InFlight{tuple, root});
+        continue;
+      }
+      emission.emplace_back(target, InFlight{tuple, root});
+      if (!emission_busy) {
+        emission_busy = true;
+        events.push(
+            Event{now_s + spout_service_s, EventType::kTransportDone, 0});
       }
     }
-    return copies;
+    return static_cast<uint64_t>(comp.outputs.size());
   };
 
-  auto maybe_schedule_spout = [&](uint32_t task_id) {
-    Task& task = tasks[task_id];
-    if (task.busy || task.exhausted || task.credits == 0) return;
-    task.busy = true;
-    events.push(Event{now_s + spout_service_s, EventType::kSpoutEmit, task_id});
-  };
-
-  auto ack_root = [&](uint64_t root_id) {
-    Root& root = roots[root_id];
-    latency_ms.Add((now_s - root.emit_time_s) * 1e3);
+  // Acks a finished tree whose last tuple completed at `task`: records its
+  // latency, frees its slot and returns the credit. Returns the spout task.
+  auto complete_root = [&](uint32_t root_id, Task& task) {
+    const Root& root = roots[root_id];
+    const double latency = (now_s - root.emit_time_s) * 1e3;
+    latency_ms.Add(latency);
+    task.root_latency_ms.Add(latency);
     ++stats.roots_acked;
     last_ack_s = now_s;
-    Task& spout_task = tasks[root.spout_task];
-    ++spout_task.credits;
-    maybe_schedule_spout(root.spout_task);
+    ++tasks[root.spout_task].credits;
+    free_roots.push_back(root_id);
+    return root.spout_task;
+  };
+
+  // A spout emits whenever it holds a credit: pull, charge the credit, stamp
+  // the root's time and route with the sender-local partitioners.
+  auto emit_spout = [&](uint32_t task_id) {
+    Task& task = tasks[task_id];
+    TopologyTuple tuple;
+    while (task.credits > 0 && !task.exhausted) {
+      if (!task.spout->NextTuple(&tuple)) {
+        task.exhausted = true;
+        break;
+      }
+      ++task.processed;
+      ++stats.tuples_processed;
+      --task.credits;
+      uint32_t root_id = static_cast<uint32_t>(roots.size());
+      if (free_roots.empty()) {
+        roots.emplace_back();
+      } else {
+        root_id = free_roots.back();
+        free_roots.pop_back();
+      }
+      roots[root_id] = Root{now_s, 0, task_id};
+      roots[root_id].pending = route_downstream(task, tuple, root_id);
+      if (roots[root_id].pending == 0) {
+        complete_root(root_id, task);  // spout with no consumers
+      }
+    }
   };
 
   for (uint32_t t = 0; t < tasks.size(); ++t) {
-    if (tasks[t].spout != nullptr) maybe_schedule_spout(t);
+    if (tasks[t].spout != nullptr) emit_spout(t);
   }
 
   while (!events.empty()) {
     const Event ev = events.top();
     events.pop();
     now_s = ev.time_s;
-    Task& task = tasks[ev.task];
 
-    if (ev.type == EventType::kSpoutEmit) {
-      task.busy = false;
-      TopologyTuple tuple;
-      if (!task.spout->NextTuple(&tuple)) {
-        task.exhausted = true;
-        continue;
+    if (ev.type == EventType::kTransportDone) {
+      // The head copy leaves the emission stage for its bolt's queue.
+      SLB_CHECK(!emission.empty());
+      const auto [target, copy] = emission.front();
+      emission.pop_front();
+      deliver(target, copy);
+      if (!emission.empty()) {
+        events.push(
+            Event{now_s + spout_service_s, EventType::kTransportDone, 0});
+      } else {
+        emission_busy = false;
       }
-      ++task.processed;
-      ++stats.tuples_processed;
-      --task.credits;
-      roots.push_back(Root{now_s, 0, ev.task});
-      const uint64_t root_id = roots.size() - 1;
-      const uint64_t copies = route_downstream(task, tuple, root_id);
-      roots[root_id].pending = copies;
-      if (copies == 0) ack_root(root_id);  // spout with no consumers
-      maybe_schedule_spout(ev.task);
       continue;
     }
 
     // kTaskDone: the head-of-queue tuple finishes processing at this bolt.
+    Task& task = tasks[ev.task];
     SLB_CHECK(!task.queue.empty());
     const InFlight in_flight = task.queue.front();
     task.queue.pop_front();
@@ -220,7 +261,7 @@ Result<TopologyStats> ExecuteTopology(const TopologyBuilder::Topology& topology,
       root.pending += route_downstream(task, out, in_flight.root);
     }
     SLB_CHECK(root.pending > 0);
-    if (--root.pending == 0) ack_root(in_flight.root);
+    if (--root.pending == 0) emit_spout(complete_root(in_flight.root, task));
 
     if (!task.queue.empty()) {
       events.push(Event{now_s + bolt_service_s, EventType::kTaskDone, ev.task});
@@ -248,12 +289,14 @@ Result<TopologyStats> ExecuteTopology(const TopologyBuilder::Topology& topology,
     }
     cs.tuples_processed = total;
     cs.task_loads.resize(comp.parallelism, 0.0);
+    cs.task_latency_avg_ms.resize(comp.parallelism, 0.0);
     double max_load = 0.0;
     for (uint32_t i = 0; i < comp.parallelism; ++i) {
       const Task& task = tasks[comp.first_task + i];
       cs.task_loads[i] = total > 0 ? static_cast<double>(task.processed) /
                                          static_cast<double>(total)
                                    : 0.0;
+      cs.task_latency_avg_ms[i] = task.root_latency_ms.mean();
       max_load = std::max(max_load, cs.task_loads[i]);
       if (task.bolt != nullptr) cs.state_entries += task.bolt->StateEntries();
     }
@@ -262,6 +305,15 @@ Result<TopologyStats> ExecuteTopology(const TopologyBuilder::Topology& topology,
     stats.components.push_back(std::move(cs));
   }
   return stats;
+}
+
+TaskLatencySummary SummarizeTaskLatency(const ComponentStats& component) {
+  Histogram across_tasks(0, 1);
+  for (double avg_ms : component.task_latency_avg_ms) {
+    if (avg_ms > 0) across_tasks.Add(avg_ms);
+  }
+  return TaskLatencySummary{across_tasks.max(), across_tasks.p50(),
+                            across_tasks.p95(), across_tasks.p99()};
 }
 
 }  // namespace slb

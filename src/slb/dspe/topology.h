@@ -13,13 +13,33 @@
 //   Result<TopologyStats> stats = ExecuteTopology(builder.Build(), options);
 //
 // Execution semantics (mirroring Storm with max-spout-pending acking):
-//   * every task (spout or bolt instance) is a FIFO queue with a
-//     deterministic per-tuple service time;
 //   * a spout may have at most `max_pending` tuple *trees* in flight; the
 //     tree is acked when the root tuple and every descendant emitted while
 //     processing it have been fully processed;
 //   * each upstream task owns a sender-local partitioner per outgoing edge
 //     (the paper's Sec. III: local load estimates, shared hash functions).
+//
+// ExecuteTopology is the stand-in for the paper's Storm cluster (Sec. V, Q4;
+// Figs. 13-14). Its queueing model:
+//
+//   spouts --(credit window)--> shared emission stage --> bolt FIFO queues
+//
+//   * A spout emits whenever it holds a credit: it routes the tuple at once
+//     and every copy then waits in ONE FIFO emission stage shared by all
+//     spouts, served at spout_service_ms per copy. The stage models the
+//     framework's per-tuple emission / serialization / dispatch cost. It is
+//     what bounds a *balanced* topology (the paper's SG plateau of
+//     1e3 / spout_service_ms tuples/s), and it is where a balanced topology
+//     parks its credit window: latency ~ window * spout_service_ms.
+//   * Every bolt task is a FIFO queue with deterministic service time
+//     bolt_service_ms (the paper injects 1 ms of CPU per tuple; the default
+//     adds the framework's per-tuple cost on top). Bolt emissions go straight
+//     to their destination queues.
+//   * Under imbalance the hottest task's queue absorbs the credit window
+//     (window = spouts * max_pending_per_spout). That caps throughput at
+//     (1e3 / bolt_service_ms) / max_share and lifts the hot task's latency
+//     towards window * bolt_service_ms: the mechanism the paper measures on
+//     the cluster.
 
 #pragma once
 
@@ -151,10 +171,13 @@ class TopologyBuilder {
   Topology topology_;
 };
 
-/// Engine knobs (the cluster model; defaults match sim/dspe_simulator).
+/// Engine knobs. The defaults are the Figs. 13-14 cluster: 3300 tuples/s of
+/// aggregate emission capacity, 1 ms of injected work plus framework cost
+/// per bolt tuple, and 70 pending trees per spout.
 struct TopologyOptions {
-  double spout_service_ms = 0.3;  // per-tuple emission cost at the spout
-  double bolt_service_ms = 1.0;   // per-tuple processing cost at every bolt
+  /// Per-copy service time of the emission stage shared by all spouts.
+  double spout_service_ms = 1e3 / 3300;
+  double bolt_service_ms = 1.5;  // per-tuple processing cost at every bolt
   uint32_t max_pending_per_spout = 70;
   uint64_t hash_seed = 42;
   uint64_t seed = 42;
@@ -171,7 +194,22 @@ struct ComponentStats {
   double imbalance = 0.0;
   /// Total state entries across this component's tasks (bolts only).
   size_t state_entries = 0;
+  /// Per task: mean latency (ms) of the root trees whose last tuple finished
+  /// at that task, 0 where none did. ExecuteTopology only; the threaded
+  /// runtime leaves it empty.
+  std::vector<double> task_latency_avg_ms;
 };
+
+/// Fig. 14's across-task view of ComponentStats::task_latency_avg_ms: the
+/// maximum and the 50th/95th/99th percentiles of the per-task averages, over
+/// the tasks that completed at least one root.
+struct TaskLatencySummary {
+  double max_ms = 0.0;
+  double p50_ms = 0.0;
+  double p95_ms = 0.0;
+  double p99_ms = 0.0;
+};
+TaskLatencySummary SummarizeTaskLatency(const ComponentStats& component);
 
 /// Outcome of a live elastic rescale (ExecuteTopologyThreaded with a
 /// non-empty TopologyRuntimeOptions::rescale; all-zero otherwise). The

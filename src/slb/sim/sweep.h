@@ -44,7 +44,7 @@ struct SweepScenario {
   /// sweeps sample once per "hour" (Fig. 12), so this varies per scenario.
   uint32_t num_samples = 0;
   /// Free-form scenario parameter for custom cell runners (e.g. the Zipf
-  /// exponent a DSPE cell regenerates its workload from). The factory
+  /// exponent an analytic cell evaluates its model at). The factory
   /// helpers below fill it with the scenario's Zipf exponent.
   double param = 0.0;
 };

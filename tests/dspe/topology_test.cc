@@ -223,6 +223,8 @@ TEST(TopologyExecutionTest, DeterministicForFixedSeeds) {
   EXPECT_DOUBLE_EQ(a->makespan_s, b->makespan_s);
   EXPECT_DOUBLE_EQ(a->latency_p99_ms, b->latency_p99_ms);
   EXPECT_EQ(a->components[1].task_loads, b->components[1].task_loads);
+  EXPECT_EQ(a->components[1].task_latency_avg_ms,
+            b->components[1].task_latency_avg_ms);
 }
 
 TEST(TopologyExecutionTest, TupleBudgetGuardsAgainstLoops) {
