@@ -24,7 +24,7 @@
 //     bumps the epoch and notifies (NotifyIfParked); the parked consumer
 //     must observe the work and respond. This is the latency a parked
 //     executor adds to the first tuple after an idle period — the price
-//     kAdaptive pays over kSpin for not burning the core.
+//     the ladder pays for not burning the core while idle.
 //
 // The benches replicate the runtime's structures rather than linking its
 // internals (RootSlot and IdleGate are runtime.cc-private by design); the

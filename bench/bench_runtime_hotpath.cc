@@ -86,7 +86,6 @@ int Main(int argc, char** argv) {
   BenchEnv defaults;
   defaults.sources = 8;
 
-  std::string wait_name = "adaptive";
   int64_t engine_threads = 8;
   int64_t queue_capacity = 1024;
   int64_t batch_size = 64;
@@ -95,7 +94,7 @@ int Main(int argc, char** argv) {
   bool pin_threads = false;
   FlagSet extra;
   extra.AddInt64("engine-threads", &engine_threads,
-                 "executor threads (0 = hardware)");
+                 "executor threads (0 = available CPUs)");
   extra.AddInt64("queue-capacity", &queue_capacity,
                  "per-edge ring capacity in tuples");
   extra.AddInt64("batch-size", &batch_size,
@@ -104,19 +103,12 @@ int Main(int argc, char** argv) {
                  "children emitted per tuple by the middle bolt stage");
   extra.AddInt64("stage-workers", &stage_workers,
                  "parallelism of each bolt stage");
-  extra.AddString("wait-strategy", &wait_name,
-                  "idle executor policy (adaptive or spin)");
   extra.AddBool("pin-threads", &pin_threads,
                 "pin executors round-robin over CPUs");
 
   BenchEnv env = ParseBenchArgs(
       argc, argv, "Threaded runtime hot path: spout -> fanout -> sink", &extra,
       defaults);
-  const auto wait_strategy = ParseWaitStrategy(wait_name);
-  if (!wait_strategy.ok()) {
-    std::fprintf(stderr, "%s\n", wait_strategy.status().ToString().c_str());
-    return 1;
-  }
   // This bench saturates the host with its own executor threads; the
   // --threads sweep axis does not apply (kept for smoke-script uniformity).
   const uint64_t messages = env.MessagesOr(100000, 1000000);
@@ -126,7 +118,7 @@ int Main(int argc, char** argv) {
               "spout->fanout->sink, threads=" + std::to_string(engine_threads) +
                   ", fanout=" + std::to_string(fanout) + ", stage_workers=" +
                   std::to_string(stage_workers) + ", m=" +
-                  std::to_string(messages) + ", wait=" + wait_name +
+                  std::to_string(messages) +
                   (pin_threads ? ", pinned" : ""));
   std::printf(
       "#scenario\tzipf\talgo\tthreads\tfanout\tthroughput_per_s\t"
@@ -182,7 +174,6 @@ int Main(int argc, char** argv) {
         runtime.num_threads = static_cast<uint32_t>(engine_threads);
         runtime.queue_capacity = static_cast<uint32_t>(queue_capacity);
         runtime.batch_size = static_cast<uint32_t>(batch_size);
-        runtime.wait_strategy = wait_strategy.value();
         runtime.pin_threads = pin_threads;
 
         auto result = ExecuteTopologyThreaded(builder.Build(), options, runtime);

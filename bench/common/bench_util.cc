@@ -18,7 +18,7 @@ BenchEnv ParseBenchArgs(int argc, char** argv, const std::string& description,
   flags.AddBool("paper", &env.paper, "use paper-scale parameters (slow)");
   flags.AddInt64("messages", &env.messages,
                  "stream length override (0 = per-bench default)");
-  flags.AddInt64("sources", &env.sources, "number of sources (paper: 5)");
+  flags.AddInt64("sources", &env.sources, "number of sources");
   flags.AddInt64("seed", &env.seed, "master RNG seed");
   flags.AddInt64("runs", &env.runs, "independent runs to average");
   flags.AddInt64("threads", &env.threads, "sweep parallelism (0 = hardware)");

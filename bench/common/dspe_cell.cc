@@ -129,9 +129,9 @@ Result<CellPayload> RunCell(const DspeCellOptions& options,
   }
   if (!threaded) return payload;
 
-  // Executor idle accounting (the kAdaptive wait ladder; all zero under
-  // kSpin). Always attached so the smoke guard can assert the columns exist
-  // and are non-negative on every threaded run.
+  // Executor idle accounting (the wait ladder's yield and park rungs; the
+  // pause rung is not timed). Always attached so the smoke guard can assert
+  // the columns exist and are non-negative on every threaded run.
   payload.AddMetric("idle_s", stats.idle_s);
   payload.AddMetric("park_s", stats.park_s);
   payload.AddCount("parks", stats.parks);
@@ -170,15 +170,6 @@ Result<DspeEngine> ParseDspeEngine(const std::string& text) {
   if (lower == "threaded") return DspeEngine::kThreaded;
   return Status::InvalidArgument("unknown engine '" + text +
                                  "' (expected sim or threaded)");
-}
-
-Result<WaitStrategy> ParseWaitStrategy(const std::string& text) {
-  std::string lower = text;
-  for (char& c : lower) c = static_cast<char>(std::tolower(c));
-  if (lower == "adaptive") return WaitStrategy::kAdaptive;
-  if (lower == "spin") return WaitStrategy::kSpin;
-  return Status::InvalidArgument("unknown wait strategy '" + text +
-                                 "' (expected adaptive or spin)");
 }
 
 SweepCellRunner MakeDspeCellRunner(DspeCellOptions options) {

@@ -32,10 +32,6 @@ enum class DspeEngine {
 /// Parses "sim" / "threaded" (case-insensitive).
 Result<DspeEngine> ParseDspeEngine(const std::string& text);
 
-/// Parses "adaptive" / "spin" (case-insensitive) into the threaded engine's
-/// idle-executor policy.
-Result<WaitStrategy> ParseWaitStrategy(const std::string& text);
-
 struct DspeCellOptions {
   DspeEngine engine = DspeEngine::kSim;
   /// kThreaded only: executor threads / ring sizes / emit batch.

@@ -106,8 +106,8 @@ struct TaskState {
   std::unique_ptr<Bolt> bolt;
   std::vector<std::unique_ptr<StreamPartitioner>> partitioners;
   std::vector<OutEdge> out;
-  // FlushTask scratch (kAdaptive only): the distinct hosts one flush
-  // published to, at most one entry per executor thread.
+  // FlushTask scratch: the distinct hosts one flush published to, at most
+  // one entry per executor thread.
   std::vector<ThreadCtx*> wake_hosts;
   // Bolt: input rings, one per upstream producer task (MPSC as polled SPSC).
   std::vector<SpscRing<RtTuple>*> inputs;
@@ -151,7 +151,6 @@ struct Runtime;
 // the barrier generation advances, so barrier_mu carries the happens-before.
 struct ElasticState {
   // Static configuration.
-  Runtime* runtime = nullptr;  // backpointer for targeted handoff wakes
   uint32_t spout_component = 0;
   uint32_t bolt_component = 0;
   uint32_t num_spouts = 0;
@@ -217,9 +216,9 @@ struct ElasticState {
 
 struct ThreadCtx;
 
-// Wakeup gate of ONE parked executor (WaitStrategy::kAdaptive) — per-thread
-// so producers wake exactly the host of the consumer they published to,
-// never the whole fleet. Every wake pairs two seq_cst fences, Dekker-style:
+// Wakeup gate of ONE parked executor — per-thread so producers wake exactly
+// the host of the consumer they published to, never the whole fleet. Every
+// wake pairs two seq_cst fences, Dekker-style:
 //
 //   signaller: publish work -> fence -> load `parked`
 //   parker:    `parked`++   -> fence -> poll for work (MaybeRunnable)
@@ -245,7 +244,6 @@ struct Runtime {
   uint32_t queue_capacity = 1024;
   uint64_t max_tuples = 0;
   uint32_t num_spout_tasks = 0;  // spout task ids are [0, num_spout_tasks)
-  WaitStrategy wait_strategy = WaitStrategy::kAdaptive;
   uint32_t spin_iterations = 32;
   uint32_t yield_iterations = 8;
   bool pin_threads = false;
@@ -258,8 +256,6 @@ struct Runtime {
   std::atomic<uint32_t> threads_pinned{0};
 
   std::unique_ptr<ElasticState> elastic;  // null = static worker set
-
-  bool adaptive() const { return wait_strategy == WaitStrategy::kAdaptive; }
 
   // Broadcast wake for rare global transitions (stop, failure, quiesce
   // phase, schedule pause/cancel, thread retirement): pokes every executor's
@@ -317,8 +313,8 @@ struct ThreadCtx {
   // This executor's park gate, signalled by producers publishing to one of
   // its tasks and by the global transitions in Runtime::WakeAll.
   IdleGate gate;
-  // Idle-ladder accounting (kAdaptive only): idle_s covers the yield + park
-  // stages, park_s the parked subset, parks the episode count.
+  // Idle-ladder accounting: idle_s covers the yield + park stages (not the
+  // pause rung), park_s the parked subset, parks the episode count.
   double idle_s = 0.0;
   double park_s = 0.0;
   uint64_t parks = 0;
@@ -346,12 +342,11 @@ void WakeGate(IdleGate& gate) {
 
 // Targeted wake for the handoff paths: pokes the executor hosting `task`.
 // Cheap when that thread is not parked — one fence and one shared load.
-inline void WakeHost(Runtime& rt, TaskState* task) {
-  if (rt.adaptive() && task->host != nullptr) WakeGate(task->host->gate);
+inline void WakeHost(TaskState* task) {
+  if (task->host != nullptr) WakeGate(task->host->gate);
 }
 
 void Runtime::WakeAll() {
-  if (!adaptive()) return;
   std::lock_guard<std::mutex> lock(spawn_mu);
   for (auto& ctx : contexts) WakeGate(ctx->gate);
 }
@@ -372,16 +367,14 @@ uint64_t PreCount(uint64_t p, uint32_t s, uint32_t num_spouts) {
 }
 
 // Attempts to publish every buffered tuple; returns true if any tuple moved.
-// Under kAdaptive, every push is followed by a wake of the destination's
-// host, coalesced per host: the pushes go first (each recording its host
-// once in task.wake_hosts), then ONE seq_cst fence, then one `parked` load
-// per recorded host. A consumer parks only after its post-announce poll
+// Every push is followed by a wake of the destination's host, coalesced per
+// host: the pushes go first (each recording its host once in
+// task.wake_hosts), then ONE seq_cst fence, then one `parked` load per
+// recorded host. A consumer parks only after its post-announce poll
 // found all its rings empty, so by the fence pairing on IdleGate every
 // tuple published here either reaches that poll or finds the consumer
 // parked and notifies it — no wake depends on ParkIdle's timed wait.
-// kSpin never parks, so it records no hosts and issues no fence.
-bool FlushTask(Runtime& rt, TaskState& task) {
-  const bool adaptive = rt.adaptive();
+bool FlushTask(TaskState& task) {
   bool moved = false;
   for (OutEdge& edge : task.out) {
     for (size_t d = 0; d < edge.rings.size(); ++d) {
@@ -394,7 +387,7 @@ bool FlushTask(Runtime& rt, TaskState& task) {
       if (pushed > 0) {
         moved = true;
         ThreadCtx* host = edge.dest_tasks[d]->host;
-        if (adaptive && host != nullptr &&
+        if (host != nullptr &&
             std::find(task.wake_hosts.begin(), task.wake_hosts.end(),
                       host) == task.wake_hosts.end()) {
           task.wake_hosts.push_back(host);
@@ -502,13 +495,12 @@ bool FlushAcks(Runtime& rt, ThreadCtx& ctx) {
   // Returned credit may unblock a spout parked on an exhausted window: every
   // return above is published before the one fence, then each credited
   // spout's host is checked (the same pairing as FlushTask's).
-  const bool adaptive = rt.adaptive();
-  if (adaptive) std::atomic_thread_fence(std::memory_order_seq_cst);
+  std::atomic_thread_fence(std::memory_order_seq_cst);
   for (uint32_t s = 0; s < rt.num_spout_tasks; ++s) {
     if (ctx.spout_acked[s] == 0) continue;
     ctx.spout_acked[s] = 0;
     ThreadCtx* host = rt.tasks[s]->host;
-    if (adaptive && host != nullptr) NotifyIfParked(host->gate);
+    if (host != nullptr) NotifyIfParked(host->gate);
   }
   return true;
 }
@@ -557,17 +549,17 @@ void PushHandoff(ElasticState& els, TaskState& from, TaskState* to,
     from.handoff_stash.emplace_back(to, frame);
     return;
   }
-  if (els.runtime != nullptr) WakeHost(*els.runtime, to);
+  WakeHost(to);
 }
 
-bool FlushHandoffStash(ElasticState& els, TaskState& task) {
+bool FlushHandoffStash(TaskState& task) {
   bool moved = false;
   auto& stash = task.handoff_stash;
   for (size_t i = 0; i < stash.size();) {
     SpscRing<HandoffFrame>* ring = FindHandoffRing(task, stash[i].first);
     SLB_CHECK(ring != nullptr) << "no handoff ring for stashed frame";
     if (ring != nullptr && ring->TryPush(stash[i].second)) {
-      if (els.runtime != nullptr) WakeHost(*els.runtime, stash[i].first);
+      WakeHost(stash[i].first);
       stash.erase(stash.begin() + i);  // stashes are tiny; O(n) is fine
       moved = true;
     } else {
@@ -595,7 +587,7 @@ void ResolveInstalledKey(ElasticState& els, uint64_t key) {
 // drains incoming frames — installing state, or answering pull requests by
 // extracting the key and shipping it back.
 bool ServiceHandoffs(ElasticState& els, TaskState& task) {
-  bool did_work = FlushHandoffStash(els, task);
+  bool did_work = FlushHandoffStash(task);
   HandoffFrame frame;
   for (SpscRing<HandoffFrame>* ring : task.handoff_in) {
     while (ring->TryPop(&frame)) {
@@ -647,7 +639,7 @@ void ElasticCheck(ElasticState& els, TaskState& task, uint64_t key) {
 // the survivors at batch pace, then retire. The thread hosting it exits once
 // every task it owns has retired.
 bool DrainQuantum(Runtime& rt, ElasticState& els, TaskState& task) {
-  bool did_work = FlushHandoffStash(els, task);
+  bool did_work = FlushHandoffStash(task);
   if (!task.handoff_stash.empty()) return did_work;
   const uint32_t n_live = static_cast<uint32_t>(els.workers.size());
   uint32_t budget = rt.batch_size;
@@ -770,7 +762,7 @@ bool SpoutEmitLoop(Runtime& rt, ThreadCtx& ctx, TaskState& task,
 }
 
 bool SpoutQuantum(Runtime& rt, ThreadCtx& ctx, TaskState& task) {
-  bool did_work = FlushTask(rt, task);
+  bool did_work = FlushTask(task);
   if (!AllFlushed(task) || task.exhausted) return did_work;
 
   ElasticState* els = rt.elastic.get();
@@ -785,7 +777,7 @@ bool SpoutQuantum(Runtime& rt, ThreadCtx& ctx, TaskState& task) {
   did_work |= task.log_routing
                   ? SpoutEmitLoop<true>(rt, ctx, task, els)
                   : SpoutEmitLoop<false>(rt, ctx, task, els);
-  did_work |= FlushTask(rt, task);
+  did_work |= FlushTask(task);
   return did_work;
 }
 
@@ -793,7 +785,7 @@ bool BoltQuantum(Runtime& rt, ThreadCtx& ctx, TaskState& task) {
   ElasticState* els = rt.elastic.get();
   bool did_work = false;
   if (els != nullptr && task.elastic) did_work |= ServiceHandoffs(*els, task);
-  did_work |= FlushTask(rt, task);
+  did_work |= FlushTask(task);
   if (!AllFlushed(task)) return did_work;  // backpressure: do not consume
 
   uint32_t budget = rt.batch_size;
@@ -842,7 +834,7 @@ bool BoltQuantum(Runtime& rt, ThreadCtx& ctx, TaskState& task) {
     budget -= static_cast<uint32_t>(popped);
     did_work = true;
   }
-  did_work |= FlushTask(rt, task);
+  did_work |= FlushTask(task);
   return did_work;
 }
 
@@ -1187,7 +1179,8 @@ inline void CpuRelax() {
 }
 
 // CPUs this process may run on (affinity-mask aware on Linux); falls back to
-// hardware_concurrency elsewhere. Used to size the idle ladder's spin rung.
+// hardware_concurrency elsewhere. Sets the default executor count and
+// whether the idle ladder's spin rung runs.
 uint32_t AvailableCpuCount() {
 #if defined(__linux__)
   cpu_set_t available;
@@ -1317,8 +1310,7 @@ void ThreadMain(Runtime& rt, ThreadCtx& ctx) {
     rt.threads_pinned.fetch_add(1, std::memory_order_relaxed);
   }
   ElasticState* els = rt.elastic.get();
-  const bool adaptive = rt.wait_strategy == WaitStrategy::kAdaptive;
-  uint32_t idle_streak = 0;
+  uint64_t idle_streak = 0;
   while (!rt.stop.load(std::memory_order_acquire)) {
     if (els != nullptr) {
       if (els->phase.load(std::memory_order_acquire) == 1) {
@@ -1406,16 +1398,13 @@ void ThreadMain(Runtime& rt, ThreadCtx& ctx) {
       rt.WakeAll();  // parked peers must observe the stop
       return;
     }
-    if (!adaptive) {
-      std::this_thread::yield();  // WaitStrategy::kSpin — legacy behavior
-      continue;
-    }
     // Idle ladder: relax -> timed yield -> park. Each rung still re-polls
     // every task at the top of the next pass.
     ++idle_streak;
     if (idle_streak <= rt.spin_iterations) {
       CpuRelax();
-    } else if (idle_streak <= rt.spin_iterations + rt.yield_iterations) {
+    } else if (idle_streak <= uint64_t{rt.spin_iterations} +
+                                  rt.yield_iterations) {
       const auto yield_start = std::chrono::steady_clock::now();
       std::this_thread::yield();
       ctx.idle_s +=
@@ -1472,16 +1461,9 @@ Result<TopologyStats> ExecuteTopologyThreaded(
   rt.max_pending = options.max_pending_per_spout;
   rt.queue_capacity = runtime_options.queue_capacity;
   rt.max_tuples = options.max_tuples;
-  rt.wait_strategy = runtime_options.wait_strategy;
   rt.spin_iterations = runtime_options.spin_iterations;
   rt.yield_iterations = runtime_options.yield_iterations;
   rt.pin_threads = runtime_options.pin_threads;
-  if (AvailableCpuCount() <= 1) {
-    // Spinning waits for another core to produce; with a single available
-    // CPU nothing can be produced until this thread yields, so the spin
-    // rung only steals the producer's timeslice. Go straight to yielding.
-    rt.spin_iterations = 0;
-  }
 
   // --- Instantiate tasks and their sender-local partitioners. --------------
   rt.tasks.reserve(plan.num_tasks);
@@ -1544,7 +1526,6 @@ Result<TopologyStats> ExecuteTopologyThreaded(
   if (elastic) {
     rt.elastic = std::make_unique<ElasticState>();
     ElasticState& els = *rt.elastic;
-    els.runtime = &rt;
     els.spout_component = target.spout_component;
     els.bolt_component = target.bolt_component;
     els.num_spouts = components[target.spout_component].parallelism;
@@ -1587,12 +1568,18 @@ Result<TopologyStats> ExecuteTopologyThreaded(
   }
 
   // --- Executor threads: tasks assigned round-robin. -----------------------
+  const uint32_t cpus = AvailableCpuCount();
   uint32_t num_threads = runtime_options.num_threads;
-  if (num_threads == 0) {
-    num_threads = std::thread::hardware_concurrency();
-    if (num_threads == 0) num_threads = 1;
-  }
+  if (num_threads == 0) num_threads = cpus;
   num_threads = std::min<uint32_t>(num_threads, plan.num_tasks);
+  if (num_threads < 2 || num_threads > cpus) {
+    // Spinning waits for another executor on another CPU to produce. With
+    // one executor, or more executors than CPUs, nothing new arrives until
+    // this thread yields, so the spin rung only steals a producer's
+    // timeslice: go straight to yielding. Decided once, from the initial
+    // executor count; a scale-out that adds threads does not revisit it.
+    rt.spin_iterations = 0;
+  }
 
   uint32_t num_spout_tasks = 0;
   for (uint32_t c = 0; c < plan.num_spout_components; ++c) {

@@ -72,24 +72,20 @@ struct ThreadedRescaleSchedule {
   bool empty() const { return schedule.empty(); }
 };
 
-/// How an executor thread waits when a full pass over its tasks finds no
-/// runnable work.
-enum class WaitStrategy : uint8_t {
-  /// Unconditional sched-yield per idle pass — the legacy behavior. Wakes
-  /// within one scheduler slice but burns a hardware thread while idle.
-  kSpin,
-  /// Escalating ladder: cpu-relax spin -> timed yield -> park on a condition
-  /// variable until a producer signals new work (ring publish, credit
-  /// return, phase change, shutdown). Parked threads cost nothing. Every
-  /// wake pairs a seq_cst fence on the signalling side with one on the
-  /// parking side, so no wake depends on the parked thread's 1 ms timed
-  /// wait, which stays only as a backstop. Idle/park time is surfaced in
-  /// TopologyStats (idle_s / park_s / parks).
-  kAdaptive,
-};
-
+/// An executor thread whose full pass over its tasks finds no runnable work
+/// climbs an idle ladder: cpu-relax spin -> timed yield -> park on a
+/// condition variable until a producer signals new work (ring publish,
+/// credit return, phase change, shutdown). Parked threads cost nothing.
+/// Every wake pairs a seq_cst fence on the signalling side with one on the
+/// parking side, so no wake depends on the parked thread's 1 ms timed wait,
+/// which stays only as a backstop. The spin rung runs only when
+/// 2 <= executors <= available CPUs: spinning waits for a producer on
+/// another CPU, so with one executor, or more executors than CPUs, it would
+/// only steal a producer's timeslice. Idle/park time is surfaced in
+/// TopologyStats (idle_s / park_s / parks).
 struct TopologyRuntimeOptions {
-  /// Executor threads (0 = hardware concurrency, capped at the task count).
+  /// Executor threads (0 = the CPUs in the process's affinity mask, capped
+  /// at the task count).
   uint32_t num_threads = 0;
   /// Per (producer, consumer) ring capacity in tuples (rounded up to a power
   /// of two). Small rings surface backpressure earlier.
@@ -97,13 +93,12 @@ struct TopologyRuntimeOptions {
   /// Emit-path batch: tuples buffered per destination before one ring
   /// publish; also the number of tuples a task processes per quantum.
   uint32_t batch_size = 64;
-  /// Idle executor policy (see WaitStrategy).
-  WaitStrategy wait_strategy = WaitStrategy::kAdaptive;
-  /// kAdaptive: consecutive idle passes spent cpu-relax spinning before the
-  /// ladder escalates to yielding. Each idle pass re-polls every hosted
-  /// task's rings, so this is "polls between relaxes", not raw pause count.
+  /// Idle ladder: consecutive idle passes spent cpu-relax spinning before
+  /// the ladder escalates to yielding (forced to 0 where the spin rung
+  /// cannot pay, see above). Each idle pass re-polls every hosted task's
+  /// rings, so this is "polls between relaxes", not raw pause count.
   uint32_t spin_iterations = 32;
-  /// kAdaptive: consecutive idle passes spent yielding before parking.
+  /// Idle ladder: consecutive idle passes spent yielding before parking.
   uint32_t yield_iterations = 8;
   /// Pin executor threads round-robin over the CPUs in the process's
   /// affinity mask (Linux). Graceful no-op where unsupported; the count of

@@ -428,15 +428,14 @@ TEST(RuntimeTest, RoutingLogCaptureEnabledWithRescale) {
   EXPECT_EQ(result.value().rescale.final_parallelism, 9u);
 }
 
-// The executor idle accounting must be well-formed under the default
-// adaptive strategy: park time is a subset of idle time, and a run with no
-// parks reports no park time.
+// The executor idle accounting must be well-formed under the default wait
+// ladder: park time is a subset of idle time, and a run with no parks
+// reports no park time.
 TEST(RuntimeTest, IdleAccountingWellFormed) {
   TopologyOptions options;
   options.max_pending_per_spout = 16;
   TopologyRuntimeOptions rt;
   rt.num_threads = 4;
-  rt.wait_strategy = WaitStrategy::kAdaptive;
   auto result = ExecuteTopologyThreaded(PkgWordCount(5000), options, rt);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const TopologyStats& stats = result.value();
